@@ -188,7 +188,8 @@ def _rate(value: str) -> float:
     return number
 
 
-#: Column header of the per-operator metric table (pipelined engine).
+#: Column header of the per-operator metric table (pipelined and
+#: columnar engines).
 _METRIC_HEADER = ["operator", "rows in", "rows out", "batches", "peak buffered", "ms"]
 
 

@@ -24,7 +24,7 @@ import enum
 import time
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from ..cache import QueryCache, dataset_token
+from ..cache import QueryCache, cover_key, dataset_token
 from ..datalog.encoding import answer_query as datalog_answer
 from ..encoding.hierarchy import HierarchyInterval, preencode_hierarchy
 from ..optimizer.gcov import gcov
@@ -34,7 +34,7 @@ from ..query.cover import Cover
 from ..rdf.graph import Graph
 from ..rdf.terms import Term
 from ..reformulation.engine import ReformulationTooLarge, reformulate, ucq_size
-from ..reformulation.jucq import jucq_for_cover, scq_reformulation
+from ..reformulation.jucq import jucq_for_cover
 from ..reformulation.policy import (
     ALLEGROGRAPH_STYLE,
     COMPLETE,
@@ -72,6 +72,14 @@ class Strategy(enum.Enum):
     REF_VIRTUOSO = "ref-virtuoso"
     REF_ALLEGRO = "ref-allegrograph"
 
+
+#: The reformulation policy of each fixed-UCQ strategy; None stands
+#: for the answerer's own policy.
+_UCQ_POLICIES = {
+    Strategy.REF_UCQ: None,
+    Strategy.REF_VIRTUOSO: VIRTUOSO_STYLE,
+    Strategy.REF_ALLEGRO: ALLEGROGRAPH_STYLE,
+}
 
 #: Strategies guaranteed to compute the complete answer.
 COMPLETE_STRATEGIES = frozenset(
@@ -488,7 +496,7 @@ class QueryAnswerer:
                     strategy, answer, time.perf_counter() - start, details
                 )
         try:
-            report = self._answer_uncached(
+            report, reformulation_hit = self._answer_uncached(
                 query,
                 strategy,
                 cover,
@@ -504,7 +512,6 @@ class QueryAnswerer:
                 raise
             return partial  # degraded answers are never cached
         if self.cache is not None:
-            reformulation_hit = report.details.pop("_reformulation_cache", None)
             self.cache.store_answer(answer_key, (report.answer, dict(report.details)))
             report.details["cache"] = {
                 "answer": "miss",
@@ -515,8 +522,6 @@ class QueryAnswerer:
                 ),
                 "stats": self.cache.stats(),
             }
-        else:
-            report.details.pop("_reformulation_cache", None)
         # Recorded after the cache store: the answer is parallelism-
         # independent, so the cached entry must not be either.
         report.details["parallelism"] = parallelism if parallelism else 1
@@ -558,66 +563,6 @@ class QueryAnswerer:
             details,
         )
 
-    def _fallback_evaluate(
-        self,
-        jucq,
-        query: ConjunctiveQuery,
-        budget_factory,
-        fallbacks: int,
-        details: Dict,
-        exclude_repr: Optional[str],
-        pool: Optional[ExecutorPool] = None,
-    ):
-        """Evaluate *jucq* under a fresh budget; on
-        :class:`~repro.resilience.errors.BudgetExceeded`, retry up to
-        *fallbacks* next-best covers from the greedy search (cheapest
-        estimated cost first, the failed cover excluded), each under a
-        fresh budget.  Exhausting the fallbacks re-raises the original
-        overrun — with every attempt's cover recorded in *details* so
-        the caller can see what was tried."""
-        try:
-            return self._evaluate(jucq, budget=budget_factory(), pool=pool)
-        except BudgetExceeded as primary:
-            if fallbacks <= 0:
-                raise
-            details["budget_exceeded"] = primary.diagnostics()
-            search = gcov(
-                query,
-                self.schema,
-                self.store,
-                self.backend,
-                self.policy,
-                encoding=self.encoding,
-            )
-            ranked = sorted(search.explored, key=lambda pair: pair[1])
-            excluded = {exclude_repr} if exclude_repr is not None else set()
-            failed: list = []
-            for candidate, _cost in ranked:
-                shown = repr(candidate)
-                if shown in excluded:
-                    continue
-                excluded.add(shown)
-                candidate_jucq = jucq_for_cover(
-                    candidate, self.schema, self.policy,
-                    encoding=self.encoding,
-                )
-                try:
-                    answer, execution = self._evaluate(
-                        candidate_jucq, budget=budget_factory(), pool=pool
-                    )
-                except BudgetExceeded:
-                    failed.append(shown)
-                    if len(failed) >= fallbacks:
-                        break
-                    continue
-                details["budget_fallback_cover"] = shown
-                details["budget_fallback_attempts"] = len(failed) + 1
-                if failed:
-                    details["budget_fallback_failed"] = failed
-                return answer, execution
-            details["budget_fallback_failed"] = failed
-            raise primary
-
     def _answer_uncached(
         self,
         query: ConjunctiveQuery,
@@ -628,35 +573,75 @@ class QueryAnswerer:
         budget_factory=None,
         budget_fallbacks: int = 0,
         pool: Optional[ExecutorPool] = None,
-    ) -> AnswerReport:
+    ) -> Tuple[AnswerReport, Optional[bool]]:
+        """Answer without the answer cache; returns the report and the
+        reformulation-cache outcome (None when no reformulation tier
+        was consulted).
+
+        Every reformulation strategy takes one path: the strategy picks
+        its reformulation (:meth:`_reformulate`), then one tail
+        evaluates it — falling back to other covers on a budget
+        overrun, for the cover strategies only — and reports."""
+
         def budget():
             return None if budget_factory is None else budget_factory()
 
+        hit = None
         if strategy == Strategy.SAT:
             answer, execution = self._evaluate(
                 query, saturated=True, budget=budget(), pool=pool
             )
-            elapsed = time.perf_counter() - start
-            return AnswerReport(
-                strategy,
-                answer,
-                elapsed,
-                {"saturation_seconds": self._saturation_seconds},
-                execution,
-            )
-
-        if strategy == Strategy.DATALOG:
+            details = {"saturation_seconds": self._saturation_seconds}
+        elif strategy == Strategy.DATALOG:
             answer = datalog_answer(self.graph, self.schema, query)
-            return AnswerReport(
-                strategy, answer, time.perf_counter() - start
+            execution, details = None, None
+        else:
+            reformulation, details, tried_cover, hit = self._reformulate(
+                query, strategy, cover, max_disjuncts
             )
+            interval_stats = self._interval_stats(reformulation)
+            if interval_stats is not None:
+                details["interval"] = interval_stats
+            try:
+                answer, execution = self._evaluate(
+                    reformulation, budget=budget(), pool=pool
+                )
+            except BudgetExceeded as primary:
+                # A fixed UCQ has no other cover to fall back to.
+                if (
+                    tried_cover is None
+                    or budget_factory is None
+                    or budget_fallbacks <= 0
+                ):
+                    raise
+                answer, execution = self._fallback_evaluate(
+                    query,
+                    primary,
+                    budget_factory,
+                    budget_fallbacks,
+                    details,
+                    tried_cover,
+                    pool,
+                )
+        report = AnswerReport(
+            strategy, answer, time.perf_counter() - start, details, execution
+        )
+        return report, hit
 
-        if strategy in (Strategy.REF_UCQ, Strategy.REF_VIRTUOSO, Strategy.REF_ALLEGRO):
-            policy = {
-                Strategy.REF_UCQ: self.policy,
-                Strategy.REF_VIRTUOSO: VIRTUOSO_STYLE,
-                Strategy.REF_ALLEGRO: ALLEGROGRAPH_STYLE,
-            }[strategy]
+    def _reformulate(
+        self,
+        query: ConjunctiveQuery,
+        strategy: Strategy,
+        cover: Optional[Cover],
+        max_disjuncts: Optional[int],
+    ):
+        """The strategy-specific step of answering: returns
+        ``(reformulation, details, cover, hit)``, where *cover* is the
+        repr of the cover the reformulation came from (None for the
+        fixed-UCQ strategies) and *hit* the reformulation-cache
+        outcome."""
+        if strategy in _UCQ_POLICIES:
+            policy = _UCQ_POLICIES[strategy] or self.policy
             size, _ = self._cached_reformulation(
                 "ucq-size",
                 query,
@@ -670,7 +655,9 @@ class QueryAnswerer:
                 raise QueryTooLargeError(
                     projected_atoms, self.backend.max_query_atoms, self.backend.name
                 )
-            union, reformulation_hit = self._cached_reformulation(
+            # The union stays bare: wrapped as a one-fragment JUCQ its
+            # plan would gain a projection and a distinct.
+            union, hit = self._cached_reformulation(
                 "ucq",
                 query,
                 policy,
@@ -683,125 +670,16 @@ class QueryAnswerer:
                 ),
                 extra=max_disjuncts,
             )
-            details = {
-                "ucq_disjuncts": size,
-                "policy": policy.name,
-                "_reformulation_cache": reformulation_hit,
-            }
-            interval_stats = self._interval_stats(union)
-            if interval_stats is not None:
-                details["interval"] = interval_stats
-            answer, execution = self._evaluate(union, budget=budget(), pool=pool)
-            return AnswerReport(
-                strategy,
-                answer,
-                time.perf_counter() - start,
-                details,
-                execution,
-            )
-
-        if strategy == Strategy.REF_SCQ:
-            jucq, reformulation_hit = self._cached_reformulation(
-                "scq",
-                query,
-                self.policy,
-                lambda: scq_reformulation(
-                    query, self.schema, self.policy, encoding=self.encoding
-                ),
-            )
-            details = {
-                "fragments": jucq.fragment_count(),
-                "atom_count": jucq.atom_count(),
-                "_reformulation_cache": reformulation_hit,
-            }
-            interval_stats = self._interval_stats(jucq)
-            if interval_stats is not None:
-                details["interval"] = interval_stats
-            if budget_factory is None:
-                answer, execution = self._evaluate(jucq, pool=pool)
-            else:
-                # The SCQ *is* the per-atom cover's JUCQ: exclude it
-                # from the fallback ranking, it just failed.
-                answer, execution = self._fallback_evaluate(
-                    jucq,
-                    query,
-                    budget_factory,
-                    budget_fallbacks,
-                    details,
-                    repr(Cover.per_atom(query)),
-                    pool,
-                )
-            return AnswerReport(
-                strategy,
-                answer,
-                time.perf_counter() - start,
-                details,
-                execution,
-            )
-
-        if strategy == Strategy.REF_JUCQ:
-            if cover is None:
-                raise ValueError("REF_JUCQ requires a cover")
-            from ..cache.keys import cover_key
-
-            jucq, reformulation_hit = self._cached_reformulation(
-                "jucq-cover",
-                query,
-                self.policy,
-                lambda: jucq_for_cover(
-                    cover, self.schema, self.policy, encoding=self.encoding
-                ),
-                extra=None if self.cache is None else cover_key(cover),
-            )
-            details = {
-                "cover": repr(cover),
-                "atom_count": jucq.atom_count(),
-                "_reformulation_cache": reformulation_hit,
-            }
-            interval_stats = self._interval_stats(jucq)
-            if interval_stats is not None:
-                details["interval"] = interval_stats
-            if budget_factory is None:
-                answer, execution = self._evaluate(jucq, pool=pool)
-            else:
-                answer, execution = self._fallback_evaluate(
-                    jucq,
-                    query,
-                    budget_factory,
-                    budget_fallbacks,
-                    details,
-                    repr(cover),
-                    pool,
-                )
-            return AnswerReport(
-                strategy,
-                answer,
-                time.perf_counter() - start,
-                details,
-                execution,
-            )
+            return union, {"ucq_disjuncts": size, "policy": policy.name}, None, hit
 
         if strategy == Strategy.REF_GCOV:
             # The cover choice is cost-based, hence data-dependent: the
             # entry carries the dataset token so answerers sharing one
             # cache never trade covers tuned to each other's data.
             def run_gcov():
-                search = gcov(
-                    query,
-                    self.schema,
-                    self.store,
-                    self.backend,
-                    self.policy,
-                    encoding=self.encoding,
-                )
-                jucq = jucq_for_cover(
-                    search.cover,
-                    self.schema,
-                    self.policy,
-                    encoding=self.encoding,
-                )
+                search = self._search_covers(query)
                 return (
-                    jucq,
+                    self._jucq(search.cover),
                     {
                         "cover": repr(search.cover),
                         "estimated_cost": search.cost,
@@ -809,7 +687,7 @@ class QueryAnswerer:
                     },
                 )
 
-            (jucq, gcov_details), reformulation_hit = self._cached_reformulation(
+            (jucq, gcov_details), hit = self._cached_reformulation(
                 "gcov",
                 query,
                 self.policy,
@@ -817,31 +695,84 @@ class QueryAnswerer:
                 extra=(self._dataset_token, self.backend.name),
             )
             details = dict(gcov_details)
-            details["_reformulation_cache"] = reformulation_hit
-            interval_stats = self._interval_stats(jucq)
-            if interval_stats is not None:
-                details["interval"] = interval_stats
-            if budget_factory is None:
-                answer, execution = self._evaluate(jucq, pool=pool)
+        else:
+            if strategy == Strategy.REF_SCQ:
+                # The SCQ of [15] is the per-atom cover's JUCQ.
+                cover = Cover.per_atom(query)
+                kind, extra = "scq", None
+            elif strategy == Strategy.REF_JUCQ:
+                kind = "jucq-cover"
+                extra = None if self.cache is None else cover_key(cover)
             else:
-                answer, execution = self._fallback_evaluate(
-                    jucq,
-                    query,
-                    budget_factory,
-                    budget_fallbacks,
-                    details,
-                    details.get("cover"),
-                    pool,
-                )
-            return AnswerReport(
-                strategy,
-                answer,
-                time.perf_counter() - start,
-                details,
-                execution,
+                raise ValueError("unknown strategy %r" % (strategy,))
+            jucq, hit = self._cached_reformulation(
+                kind, query, self.policy, lambda: self._jucq(cover), extra=extra
             )
+            details = {"cover": repr(cover)}
+        details["fragments"] = jucq.fragment_count()
+        details["atom_count"] = jucq.atom_count()
+        return jucq, details, details["cover"], hit
 
-        raise ValueError("unknown strategy %r" % (strategy,))
+    def _search_covers(self, query: ConjunctiveQuery):
+        """The greedy cover search over this answerer's data."""
+        return gcov(
+            query,
+            self.schema,
+            self.store,
+            self.backend,
+            self.policy,
+            encoding=self.encoding,
+        )
+
+    def _jucq(self, cover: Cover):
+        """The JUCQ *cover* induces under this answerer's schema."""
+        return jucq_for_cover(
+            cover, self.schema, self.policy, encoding=self.encoding
+        )
+
+    def _fallback_evaluate(
+        self,
+        query: ConjunctiveQuery,
+        primary: BudgetExceeded,
+        budget_factory,
+        fallbacks: int,
+        details: Dict,
+        failed_cover: str,
+        pool: Optional[ExecutorPool] = None,
+    ):
+        """Recover from *primary*, the budget overrun of the cover
+        shown as *failed_cover*: retry up to *fallbacks* next-best
+        covers from the greedy search (cheapest estimated cost first,
+        the failed cover excluded), each under a fresh budget.
+        Exhausting the fallbacks re-raises *primary*, with the covers
+        tried recorded in its ``partial`` diagnostics."""
+        details["budget_exceeded"] = primary.diagnostics()
+        ranked = sorted(
+            self._search_covers(query).explored, key=lambda pair: pair[1]
+        )
+        excluded = {failed_cover}
+        failed: list = []
+        for candidate, _cost in ranked:
+            shown = repr(candidate)
+            if shown in excluded:
+                continue
+            excluded.add(shown)
+            try:
+                answer, execution = self._evaluate(
+                    self._jucq(candidate), budget=budget_factory(), pool=pool
+                )
+            except BudgetExceeded:
+                failed.append(shown)
+                if len(failed) >= fallbacks:
+                    break
+                continue
+            details["budget_fallback_cover"] = shown
+            details["budget_fallback_attempts"] = len(failed) + 1
+            if failed:
+                details["budget_fallback_failed"] = failed
+            return answer, execution
+        primary.partial = dict(primary.partial or {}, budget_fallback_failed=failed)
+        raise primary
 
     # ------------------------------------------------------------------
 

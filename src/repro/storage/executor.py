@@ -25,7 +25,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ..engine.metrics import PipelineMetrics
 from ..engine.pipeline import iter_scan_rows, run_on_store
 from ..parallel.pool import ExecutorPool
-from ..parallel.scheduler import TaskGraph
 from ..rdf.terms import Term
 from .backends import BackendProfile, HASH_BACKEND
 from .plan import (
@@ -64,7 +63,8 @@ class ExecutionResult:
         self._rows = rows
         self._store = store
         self.elapsed_seconds = elapsed_seconds
-        #: Per-operator pipeline metrics (pipelined runs only).
+        #: Per-operator pipeline metrics (pipelined and columnar runs
+        #: only).
         self.metrics = metrics
         self.engine = engine
         self._answer: Optional[FrozenSet[Tuple[Term, ...]]] = None
@@ -332,34 +332,21 @@ def execute_plan_parallel(
 ) -> List[Row]:
     """:func:`execute_plan` with union children fanned out to *pool*.
 
-    A task graph evaluates each parallel unit on a worker (each charges
-    the shared budget, so a trip in one unit aborts the siblings at
-    their next charge), then a combine task runs the ordinary
-    interpreter over the full plan with the unit results precomputed —
-    the merge/join/projection structure and therefore the answer are
+    Each parallel unit is evaluated on a worker (each charges the
+    shared budget, so a trip in one unit aborts the siblings at their
+    next charge); the ordinary interpreter then runs the full plan on
+    the calling thread with the unit results precomputed — the
+    merge/join/projection structure and therefore the answer are
     exactly the serial ones.
     """
     units = collect_parallel_units(plan)
     if len(units) <= 1 or not pool.usable():
         return execute_plan(plan, store, budget)
-    graph = TaskGraph()
-    names = []
-    for index, unit in enumerate(units):
-        name = "unit-%d" % index
-        names.append(name)
-        graph.add(
-            name,
-            lambda done, unit=unit: (id(unit), execute_plan(unit, store, budget)),
-        )
-    graph.add(
-        "combine",
-        lambda done: execute_plan(
-            plan, store, budget,
-            precomputed=dict(done[name] for name in names),
-        ),
-        after=names,
+    results = pool.scatter(
+        [lambda unit=unit: execute_plan(unit, store, budget) for unit in units]
     )
-    return graph.run(pool)["combine"]
+    precomputed = {id(unit): rows for unit, rows in zip(units, results)}
+    return execute_plan(plan, store, budget, precomputed=precomputed)
 
 
 class Executor:

@@ -17,7 +17,13 @@ import pytest
 from repro import BudgetExceeded, ExecutionBudget, QueryAnswerer, Strategy
 from repro.cache import QueryCache
 from repro.federation import Endpoint, FederatedAnswerer
-from repro.query import ConjunctiveQuery, TriplePattern, Variable, evaluate_cq
+from repro.query import (
+    ConjunctiveQuery,
+    Cover,
+    TriplePattern,
+    Variable,
+    evaluate_cq,
+)
 from repro.rdf import Graph, Namespace, RDF_TYPE, Triple
 from repro.resilience import FakeClock
 from repro.saturation import saturate
@@ -107,6 +113,25 @@ class TestAdversarialScqBudget:
         assert report.details["budget_exceeded"]["kind"] == "rows"
         assert "budget_fallback_cover" in report.details
         assert report.details["budget_fallback_attempts"] >= 1
+
+    @pytest.mark.parametrize(
+        "strategy, other_cover",
+        [(Strategy.REF_SCQ, [[0, 1]]), (Strategy.REF_GCOV, [[0], [1]])],
+    )
+    def test_exhausted_fallback_reports_the_covers_it_tried(
+        self, adversarial, strategy, other_cover
+    ):
+        graph, schema, query = adversarial
+        answerer = QueryAnswerer(graph, schema)
+        # No cover fits three rows: the primary cover fails, then the
+        # only other cover the search explored fails too.
+        with pytest.raises(BudgetExceeded) as info:
+            answerer.answer(query, strategy, row_budget=3, budget_fallbacks=2)
+        partial = info.value.diagnostics()["partial"]
+        assert partial["budget_fallback_failed"] == [
+            repr(Cover(query, other_cover))
+        ]
+        assert partial["node_cardinalities"]  # the executor's entries stay
 
     def test_gcov_fits_the_budget_directly(self, adversarial):
         graph, schema, query = adversarial
