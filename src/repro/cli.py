@@ -188,17 +188,15 @@ def _rate(value: str) -> float:
     return number
 
 
-#: Column header of the per-operator metric table (pipelined and
-#: columnar engines).
+#: Column header of the per-operator metric table (columnar engine).
 _METRIC_HEADER = ["operator", "rows in", "rows out", "batches", "peak buffered", "ms"]
 
 
 def _print_metrics(execution) -> None:
-    """Print the per-operator metrics (pipelined/columnar), when any."""
+    """Print the per-operator metrics (columnar), when any."""
     metrics = getattr(execution, "metrics", None)
     if metrics is None:
-        print("no per-operator metrics "
-              "(run with --engine pipelined or columnar)")
+        print("no per-operator metrics (run with --engine columnar)")
         return
     print(format_table(_METRIC_HEADER, metrics.table_rows(),
                        title="per-operator metrics"))
@@ -221,7 +219,7 @@ def cmd_answer(args) -> int:
         return EXIT_USAGE
     if args.parallelism > 1 and args.engine == "sqlite":
         print("--parallelism needs an in-process engine "
-              "(builtin/materialized/pipelined/columnar), not sqlite")
+              "(builtin/materialized/columnar), not sqlite")
         return EXIT_USAGE
     cache = _make_cache(args)
     answerer = QueryAnswerer(
@@ -477,7 +475,9 @@ def cmd_explain(args) -> int:
     if interval is not None:
         print("interval atoms: %d (collapsed %d union branch(es))"
               % (interval["interval_atoms"], interval["branches_collapsed"]))
-    print(explain_plan(report.execution.plan, answerer.store))
+    # Sat's plan ran over the saturated store, which has its own
+    # dictionary: decode through the store the execution used.
+    print(explain_plan(report.execution.plan, report.execution._store))
     if report.execution.metrics is not None:
         print()
         _print_metrics(report.execution)
@@ -1192,23 +1192,21 @@ def build_parser() -> argparse.ArgumentParser:
     answer.add_argument("--show-answers", action="store_true")
     answer.add_argument("--limit", type=int, default=20)
     answer.add_argument("--engine", default="builtin",
-                        choices=["builtin", "materialized", "pipelined",
-                                 "columnar", "sqlite"],
+                        choices=["builtin", "materialized", "columnar",
+                                 "sqlite"],
                         help="evaluation engine: materialized (builtin is "
-                             "its alias), pipelined (streaming batches, "
-                             "per-operator metrics), columnar (vectorized "
-                             "sorted-run execution), or sqlite")
+                             "its alias), columnar (vectorized sorted-run "
+                             "execution, per-operator metrics), or sqlite")
     answer.add_argument("--show-metrics", action="store_true",
                         help="print the per-operator metric table (single "
-                             "strategy, pipelined/columnar engine)")
+                             "strategy, columnar engine)")
     answer.add_argument("--interval-encoding", action="store_true",
                         help="hierarchy-aware dictionary encoding: covered "
                              "subclass/subproperty unions collapse into "
                              "range-scanned interval atoms")
     answer.add_argument("--allow-partial", action="store_true",
                         help="on budget overrun, keep the rows produced so "
-                             "far as a degraded answer (pipelined/columnar "
-                             "engine)")
+                             "far as a degraded answer (columnar engine)")
     answer.add_argument("--cache", action="store_true",
                         help="answer through a reformulation+answer cache "
                              "(see `cache-stats` for its counters)")
@@ -1282,8 +1280,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_stats.add_argument("--strategy", default="all",
                              choices=["all"] + [s.value for s in Strategy])
     cache_stats.add_argument("--engine", default="builtin",
-                             choices=["builtin", "materialized", "pipelined",
-                                      "columnar", "sqlite"])
+                             choices=["builtin", "materialized", "columnar",
+                                      "sqlite"])
     cache_stats.add_argument("--cache-size", type=_positive_int, default=1024,
                              help="LRU capacity per cache tier (default 1024)")
     cache_stats.add_argument("--repeat", type=int, default=3,
@@ -1297,11 +1295,9 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--strategy", default="ref-gcov",
                          choices=[s.value for s in Strategy])
     explain.add_argument("--engine", default="builtin",
-                         choices=["builtin", "materialized", "pipelined",
-                                  "columnar"],
-                         help="evaluation engine; pipelined and columnar "
-                              "append the per-operator metric table to "
-                              "the plan")
+                         choices=["builtin", "materialized", "columnar"],
+                         help="evaluation engine; columnar appends the "
+                              "per-operator metric table to the plan")
     explain.add_argument("--interval-encoding", action="store_true",
                          help="hierarchy-aware dictionary encoding: interval "
                               "atoms appear in the plan as range scans with "
@@ -1398,8 +1394,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-depth", type=_positive_int, default=None,
                        help="override every tenant's queue depth")
     serve.add_argument("--engine", default="builtin",
-                       choices=["builtin", "materialized", "pipelined",
-                                "columnar", "sqlite"])
+                       choices=["builtin", "materialized", "columnar",
+                                "sqlite"])
     serve.add_argument("--row-budget", type=_positive_int, default=None,
                        help="per-request row budget charged to the "
                             "submitting tenant")

@@ -1,11 +1,10 @@
 """The columnar executor: vectorized operators over the shared plan IR.
 
-The third engine over the same plan language as the materialized
-interpreter (:mod:`repro.storage.executor`) and the pipelined executor
-(:mod:`repro.engine.pipeline`).  Where the pipelined engine moves
-tuples in row batches, this one moves :class:`~repro.columnar.chunks.
-ColumnChunk` column batches whose cells never become Python objects
-until the answer boundary:
+The streaming engine over the same plan language as the materialized
+interpreter (:mod:`repro.storage.executor`).  Where the interpreter
+materializes every operator's output as a list of row tuples, this one
+streams :class:`~repro.columnar.chunks.ColumnChunk` column batches
+whose cells never become Python objects until the answer boundary:
 
 * **Index-range scans** — a triple pattern resolves through
   :meth:`~repro.columnar.indexes.ColumnarIndexSet.probe` to a row
@@ -18,25 +17,23 @@ until the answer boundary:
   adjacent-duplicate elimination: the union's set semantics fall out
   of the merge for free, *before* any join multiplies rows — the
   grouping effect the paper measures, applied physically.  Unsorted
-  inputs degrade to streamed concatenation exactly like the pipelined
-  engine (dedup deferred downstream).
+  inputs degrade to streamed concatenation (dedup deferred to the
+  nearest Distinct or to the answer set).
 * **Merge joins on sorted runs** — taken only when both inputs are
   provably sorted on the join key; buffers only the current
   equal-key groups.  Otherwise the join hashes, building on the
-  smaller estimated side like the pipelined engine, so peak buffered
-  rows never exceed the pipelined engine's on the same plan.
+  smaller estimated side and streaming the other.
 * **Mask selections / distinct** — filters compute keep-index lists
   per chunk and gather; distinct over a fully sorted stream is
   adjacent-row comparison with *zero* buffered state, and falls back
-  to the pipelined engine's seen-set otherwise.
+  to a seen-set otherwise.
 
-Accounting and control are identical to the pipelined engine: every
-operator's output is metered into a shared
-:class:`~repro.engine.metrics.PipelineMetrics` (``rows_out`` counts
+Accounting and control: every operator's output is metered into a
+shared :class:`~repro.engine.metrics.PipelineMetrics` (``rows_out`` counts
 rows *represented* by chunks, not Python objects), charged against the
 caller's :class:`~repro.resilience.budget.ExecutionBudget` per chunk,
 and a budget abort carries the partial metrics and rows.  A pool makes
-multi-child unsorted unions parallel, as in the pipelined engine.
+multi-child unsorted unions parallel.
 """
 
 from __future__ import annotations
@@ -68,10 +65,9 @@ from .indexes import ORDER_PERMUTATIONS
 
 Row = Tuple
 
-#: Rows per chunk.  Larger than the pipelined engine's row batches —
-#: per-chunk bookkeeping is the columnar engine's only per-row-free
-#: overhead, so amortizing it harder is pure win; still small enough
-#: that a budget fires within one chunk of the limit.
+#: Rows per chunk.  Per-chunk bookkeeping is the columnar engine's only
+#: per-row-free overhead, so amortizing it is pure win; still small
+#: enough that a budget fires within one chunk of the limit.
 DEFAULT_COLUMNAR_BATCH_SIZE = 1024
 
 
@@ -98,9 +94,9 @@ class _ColumnarPipeline:
     def stream(self, node: PlanNode) -> ColumnStream:
         """The metered output stream of *node*.
 
-        Mirrors the pipelined engine's metering exactly: rows/batches/
-        wall-time per operator, ``node.actual_rows`` for EXPLAIN, and
-        per-chunk budget charging (RelationNode leaves whose rows were
+        Meters rows/batches/wall-time per operator, mirrors
+        ``node.actual_rows`` for EXPLAIN, and charges the budget per
+        chunk (RelationNode leaves whose rows were
         already charged only get a time check).  Sortedness metadata
         passes through untouched — metering never reorders.
         """
@@ -497,8 +493,8 @@ class _ColumnarPipeline:
         stop: threading.Event,
     ) -> None:
         """Producer half: drain one child on a pool worker into the
-        bounded queue (same protocol as the pipelined engine — errors
-        relayed, ``done`` unconditional)."""
+        bounded queue (errors relayed, ``done`` unconditional, so the
+        consumer always knows when every producer has retired)."""
         try:
             for chunk in stream.chunks:
                 relayed = False
@@ -691,9 +687,9 @@ class _ColumnarPipeline:
                 tuple(left_key),
                 constants,
             )
-        # Hash fallback: identical build/probe policy to the pipelined
-        # engine (build on the smaller *estimated* side), so buffered
-        # state never exceeds the pipelined engine's on the same plan.
+        # Hash fallback: build on the smaller *estimated* side (actual
+        # sizes are unknowable without materializing) and stream the
+        # other.
         return ColumnStream(
             self._hash_join(node, left, right, left_key, right_key, entry),
             (),
@@ -879,13 +875,12 @@ def run_columnar(
 ) -> Tuple[List[Row], PipelineMetrics]:
     """Execute *plan* against *store* columnar-ly; returns (rows, metrics).
 
-    The contract is the pipelined engine's, verbatim: the collected
-    answer is distinct, metrics report rows *represented* (a chunk of
+    The collected answer is distinct, metrics report rows *represented* (a chunk of
     1,024 rows counts 1,024, whatever its Python object count), and a
     :class:`~repro.resilience.errors.BudgetExceeded` mid-stream carries
     the metrics snapshot and partial rows (``partial`` /
-    ``partial_rows``).  Differential harnesses may therefore compare
-    all three engines' answers byte for byte.
+    ``partial_rows``).  Differential harnesses compare its answers with
+    the materialized interpreter's byte for byte.
     """
     if metrics is None:
         metrics = PipelineMetrics()

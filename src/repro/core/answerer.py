@@ -53,11 +53,9 @@ from ..storage.store import TripleStore
 Answer = FrozenSet[Tuple[Term, ...]]
 
 #: Engines the answerer accepts. ``"builtin"`` is the historical alias
-#: of the materialized interpreter; ``"pipelined"`` runs the same plans
-#: through the batch executor of :mod:`repro.engine.pipeline`;
-#: ``"columnar"`` through the vectorized executor of
-#: :mod:`repro.columnar.engine`.
-ANSWERER_ENGINES = ("builtin", "materialized", "pipelined", "columnar", "sqlite")
+#: of the materialized interpreter; ``"columnar"`` runs the same plans
+#: through the vectorized executor of :mod:`repro.columnar.engine`.
+ANSWERER_ENGINES = ("builtin", "materialized", "columnar", "sqlite")
 
 
 class Strategy(enum.Enum):
@@ -153,12 +151,10 @@ class QueryAnswerer:
         """``engine`` selects the evaluation engine for the relational
         strategies: ``"materialized"`` (the instrumented operator-at-a-
         time executor; ``"builtin"`` is its historical alias and the
-        default), ``"pipelined"`` (the batch-streaming executor of
-        :mod:`repro.engine.pipeline`, with per-operator metrics and
-        mid-pipeline budget enforcement), ``"columnar"`` (the
-        vectorized executor of :mod:`repro.columnar.engine` over
-        sorted integer-run indexes — same metrics and budget
-        semantics), or ``"sqlite"`` (generated SQL on a real RDBMS —
+        default), ``"columnar"`` (the vectorized executor of
+        :mod:`repro.columnar.engine` over sorted integer-run indexes,
+        with per-operator metrics and mid-stream budget enforcement),
+        or ``"sqlite"`` (generated SQL on a real RDBMS —
         answers are identical, per the test-suite, but plan metrics
         are the engine's own and not reported).
 
@@ -188,10 +184,8 @@ class QueryAnswerer:
         self.policy = policy
         self.engine = engine
         # The executor-level engine name: "builtin" is the alias kept
-        # for callers predating the pipelined engine.
-        self._exec_engine = (
-            engine if engine in ("pipelined", "columnar") else "materialized"
-        )
+        # for callers predating the engine choice.
+        self._exec_engine = "columnar" if engine == "columnar" else "materialized"
         self.interval_encoding = interval_encoding
         if interval_encoding:
             # Hierarchy ids must be assigned before any data term grabs
@@ -394,10 +388,9 @@ class QueryAnswerer:
         complete answer — budgets never truncate, they only refuse.
         Budget-exceeded runs are never cached.
 
-        ``allow_partial`` (pipelined and columnar engines) turns a
-        final budget
+        ``allow_partial`` (columnar engine) turns a final budget
         overrun into a *degraded* answer instead of an exception: the
-        rows the pipeline had produced before the abort are decoded and
+        rows the engine had produced before the abort are decoded and
         returned, with ``details["partial"]`` set, the overrun
         diagnostics attached, and a
         :class:`~repro.resilience.report.CompletenessReport` marking
@@ -537,8 +530,8 @@ class QueryAnswerer:
         """Build the degraded :class:`AnswerReport` for a budget
         overrun, or None when the caller did not opt in (or the engine
         produced no partial rows — the materialized interpreter aborts
-        whole operators, so only the pipelined and columnar engines
-        carry them)."""
+        whole operators, so only the columnar engine carries
+        them)."""
         if not allow_partial:
             return None
         partial_answer = getattr(exc, "partial_answer", None)

@@ -1,10 +1,12 @@
-"""The execution engine: plan IR, pipelined executor, SQL lowering.
+"""The execution engine: plan IR, operator metrics, SQL lowering.
 
 One backend-neutral operator algebra (:mod:`repro.engine.ir`) shared
-by the planner, the cost model, EXPLAIN and every executor; a
-pipelined batch executor (:mod:`repro.engine.pipeline`) with
-per-operator metrics and mid-pipeline budget enforcement; and an
-IR→SQL lowering (:mod:`repro.engine.lowering`) for real RDBMSs.
+by the planner, the cost model, EXPLAIN and every executor (the
+materialized interpreter of :mod:`repro.storage.executor` and the
+columnar engine of :mod:`repro.columnar.engine`); the per-operator
+metrics the columnar engine records (:mod:`repro.engine.metrics`);
+and an IR→SQL lowering (:mod:`repro.engine.lowering`) for real
+RDBMSs.
 """
 
 from .ir import (
@@ -23,19 +25,9 @@ from .ir import (
 )
 from .lowering import LoweringError, lower
 from .metrics import OperatorMetrics, PipelineMetrics
-from .pipeline import (
-    DEFAULT_BATCH_SIZE,
-    RelationContext,
-    StoreContext,
-    iter_scan_rows,
-    join_relations,
-    run_on_store,
-    run_plan,
-)
 
 __all__ = [
     "ColumnLabel",
-    "DEFAULT_BATCH_SIZE",
     "DistinctNode",
     "EmptyNode",
     "JoinNode",
@@ -47,14 +39,8 @@ __all__ = [
     "PositionSpec",
     "ProjectNode",
     "ProjectionSpec",
-    "RelationContext",
     "RelationNode",
     "ScanNode",
-    "StoreContext",
     "UnionNode",
-    "iter_scan_rows",
-    "join_relations",
     "lower",
-    "run_on_store",
-    "run_plan",
 ]

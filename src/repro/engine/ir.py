@@ -11,9 +11,9 @@ plan language:
 * the **materialized** interpreter (:mod:`repro.storage.executor`),
   which computes every operator's full output — the paper's RDBMS
   model, where Example 1's SCQ materializes 33M intermediate rows;
-* the **pipelined** executor (:mod:`repro.engine.pipeline`), whose
-  operators are generators yielding fixed-size row batches, so the
-  same plan runs in bounded memory with per-operator metrics;
+* the **columnar** executor (:mod:`repro.columnar.engine`), whose
+  operators stream column chunks over sorted integer-run indexes, so
+  the same plan runs in bounded memory with per-operator metrics;
 * the **SQL lowering** (:mod:`repro.engine.lowering`), which turns a
   plan into one statement for a real RDBMS.
 
@@ -157,9 +157,9 @@ class RelationNode(PlanNode):
     every operator except :class:`NonLiteralFilterNode`.
 
     ``charged`` records whether the rows were already charged against
-    the caller's budget when they materialized; the pipelined executor
-    then streams them without re-charging (a row must be paid for
-    exactly once).
+    the caller's budget when they materialized; the executors then
+    read them without re-charging (a row must be paid for exactly
+    once).
     """
 
     def __init__(

@@ -55,7 +55,6 @@ from ..query.algebra import (
     UnionQuery,
     Variable,
 )
-from ..engine.pipeline import join_relations  # the engine's shared join kernel
 from ..rdf.terms import Term
 from ..reformulation.engine import reformulate
 from ..reformulation.policy import COMPLETE, ReformulationPolicy
@@ -72,6 +71,7 @@ from ..resilience.report import (
 )
 from ..resilience.retry import RetryPolicy
 from ..schema.schema import Schema
+from ..storage.executor import join_relations  # the shared join kernel
 from .endpoint import Endpoint
 
 Row = Tuple[Term, ...]

@@ -157,13 +157,13 @@ def evaluate_jucq(graph: Graph, query: JoinOfUnions, budget=None) -> Answer:
     ``budget`` bounds the whole evaluation: it is threaded into each
     fragment's UCQ evaluation (which charges the fragment rows as they
     materialize) and meters the join outputs — the joins run through
-    the engine's shared kernel
-    (:func:`repro.engine.pipeline.join_relations`), whose pipelined
-    hash join charges per batch, so a Cartesian blowup raises
+    the shared kernel (:func:`repro.storage.executor.join_relations`),
+    whose join loop probes the budget every ``CHECK_INTERVAL`` rows,
+    so a Cartesian blowup raises
     :class:`~repro.resilience.errors.BudgetExceeded` before
     materializing.
     """
-    from ..engine.pipeline import join_relations
+    from ..storage.executor import join_relations
 
     schema: Optional[Tuple[HeadTerm, ...]] = None
     rows: Set[Row] = set()

@@ -105,14 +105,13 @@ class BudgetExceeded(RuntimeError):
         self.owner = owner
         #: Partial-execution snapshot attached by the executor: the
         #: per-node cardinalities of completed subtrees and, for
-        #: pipelined and columnar runs, the operator metrics — a budget
+        #: columnar runs, the operator metrics — a budget
         #: abort reports how far evaluation got, it does not erase it.
         #: The answerer adds the covers a budget fallback tried.
         self.partial: Optional[dict] = None
-        #: Answer rows produced before the abort (pipelined and
-        #: columnar runs only; every collected row is a genuine answer
-        #: row, the set is just incomplete).  Encoded in whatever the
-        #: execution context's row currency is.
+        #: Answer rows produced before the abort (columnar runs only;
+        #: every collected row is a genuine answer row, the set is just
+        #: incomplete), as term ids.
         self.partial_rows: Optional[list] = None
         #: ``partial_rows`` decoded to terms, when the executor had the
         #: dictionary at hand.

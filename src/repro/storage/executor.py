@@ -8,23 +8,25 @@ the executor records the actual cardinality of every node, letting
 experiments compare the estimates with reality).
 
 :class:`Executor` is the façade over the physical engines: the
-materialized interpreter below, the pipelined batch executor of
-:mod:`repro.engine.pipeline` (``engine="pipelined"``), which runs the
-same plans in bounded memory with per-operator metrics, and the
-vectorized columnar executor of :mod:`repro.columnar.engine`
-(``engine="columnar"``), which runs them over sorted integer-run
-indexes exchanging column batches.  Either way the result is an
-:class:`ExecutionResult` with the same API.
+materialized interpreter below and the vectorized columnar executor of
+:mod:`repro.columnar.engine` (``engine="columnar"``), which runs the
+same plans over sorted integer-run indexes exchanging column batches,
+in bounded memory with per-operator metrics.  Either way the result is
+an :class:`ExecutionResult` with the same API.
+
+The interpreter's join is also the one join kernel of in-memory
+relations (:func:`join_relations`), shared by the reference evaluator
+and the federation client.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.metrics import PipelineMetrics
-from ..engine.pipeline import iter_scan_rows, run_on_store
 from ..parallel.pool import ExecutorPool
+from ..query.algebra import Variable
 from ..rdf.terms import Term
 from .backends import BackendProfile, HASH_BACKEND
 from .plan import (
@@ -44,7 +46,7 @@ from .store import TripleStore
 Row = Tuple[int, ...]
 
 #: The physical engines :class:`Executor` can run a plan on.
-ENGINES = ("materialized", "pipelined", "columnar")
+ENGINES = ("materialized", "columnar")
 
 
 class ExecutionResult:
@@ -63,8 +65,7 @@ class ExecutionResult:
         self._rows = rows
         self._store = store
         self.elapsed_seconds = elapsed_seconds
-        #: Per-operator pipeline metrics (pipelined and columnar runs
-        #: only).
+        #: Per-operator metrics (columnar runs only).
         self.metrics = metrics
         self.engine = engine
         self._answer: Optional[FrozenSet[Tuple[Term, ...]]] = None
@@ -94,14 +95,14 @@ class ExecutionResult:
     def peak_buffered_rows(self) -> int:
         """The engine's memory high-water mark in rows.
 
-        For a pipelined or columnar run, the global peak of
-        concurrently buffered operator state (from the metrics) —
-        counted as rows *represented*, so a column chunk of 1,024 rows
-        contributes 1,024 whatever its Python object count, keeping
-        E16-style memory comparisons meaningful across all three
-        engines.  For a materialized run the best available proxy is
-        the largest operator output, which the interpreter held in
-        full by construction.
+        For a columnar run, the global peak of concurrently buffered
+        operator state (from the metrics) — counted as rows
+        *represented*, so a column chunk of 1,024 rows contributes
+        1,024 whatever its Python object count, keeping memory
+        comparisons with the materialized engine meaningful.  For a
+        materialized run the best available proxy is the largest
+        operator output, which the interpreter held in full by
+        construction.
         """
         if self.metrics is not None:
             return self.metrics.peak_buffered_rows
@@ -116,9 +117,83 @@ class ExecutionResult:
         ]
 
 
+def iter_scan_rows(node: ScanNode, store) -> Iterator[Row]:
+    """Lazily yield the rows of one triple-table scan."""
+    subject_id, property_id, object_id = node.bound_positions()
+    range_info = node.range_spec()
+    if (
+        range_info is not None
+        and range_info[0] == 2
+        and property_id is not None
+        and subject_id is None
+    ):
+        # Fast path for the interval-atom shape (?x, p, [lo..hi)):
+        # one ordered POS sweep over the object range.
+        lo, hi = range_info[1]
+        matches: Iterable[Tuple[int, int, int]] = (
+            (subject, property_id, object_)
+            for subject, object_ in store.scan_property_object_range(
+                property_id, lo, hi
+            )
+        )
+        range_info = None
+    elif range_info is not None and range_info[0] == 1:
+        # Subproperty interval (s?, [lo..hi), o?): probe the window's
+        # property ids instead of filtering a full-table scan.
+        lo, hi = range_info[1]
+        matches = store.scan_property_range(lo, hi, subject_id, object_id)
+        range_info = None
+    elif property_id is None:
+        matches: Iterable[Tuple[int, int, int]] = (
+            triple
+            for triple in store.scan_all()
+            if (subject_id is None or triple[0] == subject_id)
+            and (object_id is None or triple[2] == object_id)
+        )
+    elif subject_id is not None and object_id is not None:
+        encoded = (subject_id, property_id, object_id)
+        matches = iter([encoded] if store.contains(encoded) else [])
+    elif subject_id is not None:
+        matches = (
+            (subject_id, property_id, value)
+            for value in store.scan_property_subject(property_id, subject_id)
+        )
+    elif object_id is not None:
+        matches = (
+            (value, property_id, object_id)
+            for value in store.scan_property_object(property_id, object_id)
+        )
+    else:
+        matches = (
+            (subject, property_id, object_)
+            for subject, object_ in store.scan_property(property_id)
+        )
+
+    if range_info is not None:
+        # Generic fallback: the range position was treated as unbound
+        # above; filter the id interval here.
+        position, (lo, hi) = range_info
+        matches = (
+            triple for triple in matches if lo <= triple[position] < hi
+        )
+
+    for triple in matches:
+        binding = {}
+        consistent = True
+        for (kind, value), term_id in zip(node.positions, triple):
+            if kind != "var":
+                continue
+            bound = binding.get(value)
+            if bound is None:
+                binding[value] = term_id
+            elif bound != term_id:
+                consistent = False
+                break
+        if consistent:
+            yield tuple(binding[label] for label in node.columns)
+
+
 def _execute_scan(node: ScanNode, store: TripleStore) -> List[Row]:
-    # One scan implementation for both engines: the pipeline pulls
-    # iter_scan_rows lazily, the materialized interpreter drains it.
     return list(iter_scan_rows(node, store))
 
 
@@ -300,6 +375,50 @@ def execute_plan(
     return rows
 
 
+def join_relations(
+    left_schema: Sequence,
+    left_rows: Iterable[Tuple],
+    right_schema: Sequence,
+    right_rows: Iterable[Tuple],
+    budget=None,
+    algorithm: str = "hash",
+) -> Tuple[tuple, set]:
+    """Join two in-memory relations on their shared variables.
+
+    The one join kernel every evaluation path shares: the reference
+    evaluator's JUCQ combination and the federation client's local
+    joins both compile to a :class:`~repro.engine.ir.JoinNode` over
+    :class:`~repro.engine.ir.RelationNode` leaves and run through this
+    module's interpreter.  A relation's schema is its fragment head:
+    variables name columns (repeats allowed), constants are payload.
+    The output schema is the left schema followed by the right columns
+    whose variables are not already present on the left.
+
+    ``budget`` meters the join's *output* (the inputs were charged by
+    whoever materialized them), probed every ``CHECK_INTERVAL`` rows
+    inside the join loop, so a Cartesian blowup raises
+    :class:`~repro.resilience.errors.BudgetExceeded` instead of
+    materializing.
+
+    >>> a, b, c = Variable("a"), Variable("b"), Variable("c")
+    >>> join_relations((a, b), [(1, 2), (3, 4)], (b, c), [(2, 5)])
+    ((?a, ?b, ?c), {(1, 2, 5)})
+    """
+    def labels(schema) -> list:
+        return [item if isinstance(item, Variable) else None for item in schema]
+
+    node = JoinNode(
+        RelationNode(labels(left_schema), list(left_rows), charged=True),
+        RelationNode(labels(right_schema), list(right_rows), charged=True),
+        algorithm,
+    )
+    rows = execute_plan(node, None, budget)
+    output_schema = tuple(left_schema) + tuple(
+        right_schema[index] for index in node.keep_right_indexes
+    )
+    return output_schema, set(rows)
+
+
 def collect_parallel_units(plan: PlanNode) -> List[PlanNode]:
     """The independently evaluable subtrees of *plan*: the children of
     every union reachable from the root through join/unary operators
@@ -384,9 +503,8 @@ class Executor:
         the query exceeds the backend's parse limit, and
         :class:`~repro.resilience.errors.BudgetExceeded` when a
         ``budget`` is given and the evaluation outgrows it — with the
-        partial per-node cardinalities (and, pipelined or columnar,
-        the operator metrics and partial answer) attached to the
-        raised error.
+        partial per-node cardinalities (and, columnar, the operator
+        metrics and partial answer) attached to the raised error.
 
         ``pool`` (an :class:`~repro.parallel.ExecutorPool`) evaluates
         union children — UCQ disjuncts, cover-fragment extents —
@@ -400,11 +518,7 @@ class Executor:
         start = time.perf_counter()
         plan = self.planner.plan(query)
         try:
-            if engine == "pipelined":
-                rows, metrics = run_on_store(
-                    plan, self.store, budget=budget, pool=pool
-                )
-            elif engine == "columnar":
+            if engine == "columnar":
                 from ..columnar.engine import run_columnar
 
                 rows, metrics = run_columnar(
@@ -428,7 +542,7 @@ class Executor:
 
     def _attach_partial(self, exc, plan: PlanNode, engine: str) -> None:
         """Satellite of a budget abort: the error carries how far the
-        plan got (completed-subtree cardinalities, pipeline metrics,
+        plan got (completed-subtree cardinalities, operator metrics,
         decoded partial answer) instead of erasing the evidence."""
         if not hasattr(exc, "diagnostics"):
             return

@@ -26,10 +26,11 @@ from repro.query import (
 )
 from repro.rdf import Graph, Namespace, RDF_TYPE, Triple
 from repro.resilience import FakeClock
+from repro.resilience.budget import CHECK_INTERVAL
 from repro.saturation import saturate
 from repro.schema import Constraint, Schema
 from repro.storage import TripleStore
-from repro.storage.executor import Executor
+from repro.storage.executor import Executor, join_relations
 
 EX = Namespace("http://example.org/")
 x, y, z, w = Variable("x"), Variable("y"), Variable("z"), Variable("w")
@@ -238,6 +239,30 @@ class TestExecutorBudget:
         executor = self._executor()
         query = ConjunctiveQuery([x, y], [TriplePattern(x, EX.p, y)])
         assert executor.run(query).row_count == 30
+
+
+class TestJoinRelationsBudget:
+    """The in-memory join kernel the reference evaluator and the
+    federation client share meters its output through the
+    interpreter's in-loop probe."""
+
+    def test_cross_product_trips_within_one_check_interval(self):
+        left = [(index,) for index in range(1000)]
+        right = [(index,) for index in range(1000)]
+        with pytest.raises(BudgetExceeded) as info:
+            join_relations((x,), left, (y,), right,
+                           budget=ExecutionBudget(max_rows=5_000))
+        assert info.value.kind == "rows"
+        assert info.value.rows_produced <= 5_000 + CHECK_INTERVAL
+
+    def test_product_with_room_equals_set_product(self):
+        left = [(index,) for index in range(100)]
+        right = [(-index,) for index in range(100)]
+        schema, rows = join_relations(
+            (x,), left, (y,), right, budget=ExecutionBudget(max_rows=10_000)
+        )
+        assert schema == (x, y)
+        assert rows == {a + b for a in left for b in right}
 
 
 class TestFederatedBudget:

@@ -89,6 +89,21 @@ class TestExplain:
         assert "[#" in out
         assert "collapses" in out
 
+    @pytest.mark.parametrize("encoding", [[], ["--interval-encoding"]],
+                             ids=["classic", "interval"])
+    def test_explain_sat_decodes_through_saturated_store(self, capsys, encoding):
+        # Sat's plan runs over the saturated store, whose dictionary
+        # differs from the base store's: its constants must decode
+        # through the store the execution used.
+        code, out = run_cli(
+            capsys, "explain", "--dataset", "books", "--strategy", "sat",
+            *encoding,
+        )
+        assert code == 0
+        assert "Scan(?x1, hasAuthor, ?x2)" in out
+        assert "Scan(?x2, hasName, ?x3)" in out
+        assert 'Scan(?x1, ?x4, "1949")' in out
+
 
 class TestIntervalAnswer:
     def test_answer_interval_metrics(self, capsys):

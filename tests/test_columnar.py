@@ -1,7 +1,7 @@
 """The columnar engine's own legs: chunk algebra, sortedness
 metadata, operator behavior, and budget/metric parity.
 
-The three-engine answer equality lives in
+The cross-engine answer equality lives in
 ``tests/test_engine_equivalence.py``; this file covers what is
 specific to the columnar execution path — the places where it takes a
 different physical route (merge unions, sorted distinct, index-range
@@ -189,8 +189,8 @@ class TestColumnarAccounting:
             run_columnar(node, store, budget=budget, batch_size=4)
         exc = info.value
         assert exc.kind == "rows"
-        # The structured partial state travels like the pipelined
-        # engine's: metrics snapshot plus the rows collected so far.
+        # The structured partial state travels on the error: metrics
+        # snapshot plus the rows collected so far.
         assert exc.partial["operators"]
         assert isinstance(exc.partial_rows, list)
 
