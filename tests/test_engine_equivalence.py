@@ -191,6 +191,21 @@ class TestScqBlowup:
         assert exc.partial_answer is not None
         assert exc.diagnostics()["partial_row_count"] == len(exc.partial_rows)
 
+    def test_columnar_allow_partial_degrades(self, blowup):
+        graph, schema, query = blowup
+        columnar = QueryAnswerer(graph, schema, engine="columnar")
+        report = columnar.answer(
+            query,
+            Strategy.REF_SCQ,
+            row_budget=self.ROW_BUDGET,
+            budget_fallbacks=0,
+            allow_partial=True,
+        )
+        assert report.details["partial"] is True
+        assert report.details["completeness"]["complete"] is False
+        complete = columnar.answer(query, Strategy.REF_SCQ).answer
+        assert report.answer <= complete
+
     def test_materialized_abort_reports_cardinalities(self, blowup):
         graph, schema, query = blowup
         materialized = QueryAnswerer(graph, schema, engine="materialized")
